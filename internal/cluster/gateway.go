@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -527,21 +528,16 @@ type nodeSearchBody struct {
 	resp api.SearchResponse
 }
 
-// mergeRankings merges per-node rankings into the global window. The
-// comparator is exactly corpus.rank's: score descending, model id
-// ascending — the same deterministic merge already proven identical at
-// every shard and worker count inside one corpus, applied across nodes.
+// mergeRankings merges per-node rankings into the global window. It
+// sorts with corpus.CompareHits, the comparator every corpus ranking
+// uses, so the merge is the one already proven identical at every shard
+// and worker count inside one corpus, applied across nodes.
 func mergeRankings(bodies []nodeSearchBody, win api.Window) []corpus.Hit {
 	var all []corpus.Hit
 	for _, b := range bodies {
 		all = append(all, b.resp.Hits...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].ModelID < all[j].ModelID
-	})
+	slices.SortFunc(all, corpus.CompareHits)
 	if win.Offset > 0 {
 		if win.Offset >= len(all) {
 			return []corpus.Hit{}

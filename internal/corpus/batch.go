@@ -69,13 +69,25 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	// Entries (and their intern tables) are built before any lock is
+	// taken; adds[i] is ops[i]'s entry, nil for removals.
+	adds := make([]*entry, len(ops))
 	for i := range ops {
-		if ops[i].ID == "" {
+		op := &ops[i]
+		if op.ID == "" {
 			return fmt.Errorf("corpus: batch op %d has no id", i)
 		}
-		if !ops[i].Remove && len(ops[i].SBML) == 0 {
-			return fmt.Errorf("corpus: batch add %q has no canonical bytes", ops[i].ID)
+		if op.Remove {
+			continue
 		}
+		if len(op.SBML) == 0 {
+			return fmt.Errorf("corpus: batch add %q has no canonical bytes", op.ID)
+		}
+		e, err := newEntry(op.ID, op.Keys, op.SBML, c.opts.Match, op.Compiled)
+		if err != nil {
+			return err
+		}
+		adds[i] = e
 	}
 	defer c.lockAll()()
 	// Validate the chunk against a presence overlay: the corpus state as
@@ -105,13 +117,12 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 		}
 	}
 	for i := range ops {
-		op := &ops[i]
-		sh := c.shardFor(op.ID)
-		if op.Remove {
-			sh.removeLocked(op.ID)
+		sh := c.shardFor(ops[i].ID)
+		if ops[i].Remove {
+			sh.removeLocked(ops[i].ID)
 			continue
 		}
-		sh.install(&entry{id: op.ID, keys: op.Keys, sbml: op.SBML, match: c.opts.Match, cm: op.Compiled})
+		sh.install(adds[i])
 	}
 	return nil
 }
@@ -126,29 +137,34 @@ func (c *Corpus) ApplyBatch(ops []BatchOp) error {
 // mirroring DumpConsistent's hook on the read side.
 func (c *Corpus) ReplaceAll(models []PrecompiledModel, before func()) error {
 	seen := make(map[string]bool, len(models))
+	entries := make([]*entry, len(models))
 	for i := range models {
-		if models[i].ID == "" {
+		p := &models[i]
+		if p.ID == "" {
 			return fmt.Errorf("corpus: replacement model %d has no id", i)
 		}
-		if len(models[i].SBML) == 0 {
-			return fmt.Errorf("corpus: replacement model %q has no canonical bytes", models[i].ID)
+		if len(p.SBML) == 0 {
+			return fmt.Errorf("corpus: replacement model %q has no canonical bytes", p.ID)
 		}
-		if seen[models[i].ID] {
-			return fmt.Errorf("corpus: replacement set repeats model %q: %w", models[i].ID, ErrDuplicate)
+		if seen[p.ID] {
+			return fmt.Errorf("corpus: replacement set repeats model %q: %w", p.ID, ErrDuplicate)
 		}
-		seen[models[i].ID] = true
+		seen[p.ID] = true
+		e, err := newEntry(p.ID, p.Keys, p.SBML, c.opts.Match, p.Compiled)
+		if err != nil {
+			return err
+		}
+		entries[i] = e
 	}
 	defer c.lockAll()()
 	if before != nil {
 		before()
 	}
 	for _, sh := range c.shards {
-		sh.entries = make(map[string]*entry)
-		sh.inv = make(map[string]map[string][]invPosting)
+		sh.reset()
 	}
-	for i := range models {
-		p := &models[i]
-		c.shardFor(p.ID).install(&entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match, cm: p.Compiled})
+	for _, e := range entries {
+		c.shardFor(e.id).install(e)
 	}
 	return nil
 }

@@ -16,10 +16,22 @@
 // of repository-scale matchers. Results are ranked top-K Hits with
 // per-component evidence.
 //
+// The index is interned so that a search touches no string-keyed map
+// past the posting lookup and allocates nothing per candidate. Every
+// entry, and every compiled query, carries its component ids sorted and
+// deduplicated; a posting names its model by pointer and its component
+// and kind by ordinal, and each model holds a dense per-shard slot.
+// Retrieval finds a candidate by slot, appends packed (tier, query
+// ordinal, target ordinal) cells into pooled scratch, and scoring sorts
+// and assigns them there (score.go). Ordinals follow sorted id order,
+// so orderings over ordinals equal the orderings over ids they replace.
+// Evidence is rendered only for the hits of the returned page.
+//
 // Sharding and the search worker pool are pure throughput mechanisms:
 // a model's score depends only on the query and that model, and the final
 // ranking sorts globally, so Search returns identical results at any shard
-// or worker count (pinned by the determinism tests).
+// or worker count (pinned by the determinism tests, and across code
+// changes by testdata/rankings.golden).
 package corpus
 
 import (
@@ -27,7 +39,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -167,11 +181,13 @@ type Hit struct {
 }
 
 // invPosting is one inverted-index posting: a component of a corpus model
-// reachable under some key.
+// reachable under some key, named by its ordinals in the entry's comps
+// and kinds tables.
 type invPosting struct {
-	comp string
-	kind string
-	tier core.KeyTier
+	e    *entry
+	comp uint32
+	kind uint16
+	tier uint8
 }
 
 // entry is one stored model with its posted keys, its compiled form
@@ -187,6 +203,13 @@ type invPosting struct {
 type entry struct {
 	id   string
 	keys []core.ComponentKey
+	// comps holds the distinct component ids of keys, sorted, and kinds
+	// their distinct component kinds; postings and score cells name a
+	// component or kind by its index here. slot is the entry's dense
+	// index among its shard's installed entries.
+	comps []string
+	kinds []string
+	slot  uint32
 	// sbml is the canonical serialization, retained when the entry was
 	// installed from persisted bytes (Add with a persister attached, or
 	// AddPrecompiled at recovery). It backs both the lazy compile and
@@ -205,6 +228,38 @@ type entry struct {
 	engOnce sync.Once
 	eng     *sim.Engine
 	engErr  error
+}
+
+// newEntry builds an entry and its intern tables: one sort of the
+// component ids, and a kinds table in first-seen order. Keys whose tier
+// or table sizes do not fit the packed posting and cell layout are
+// rejected; core derives none such, so only hand-made or corrupt
+// precompiled keys can fail here.
+func newEntry(id string, keys []core.ComponentKey, sbmlBytes []byte, match core.Options, cm *core.CompiledModel) (*entry, error) {
+	e := &entry{id: id, keys: keys, sbml: sbmlBytes, match: match, cm: cm, comps: sortedComponents(keys)}
+	for _, k := range keys {
+		if k.Tier < core.TierExactID || k.Tier > core.TierUnit {
+			return nil, fmt.Errorf("corpus: model %q: key %q has tier %d out of range", id, k.Key, k.Tier)
+		}
+		if !slices.Contains(e.kinds, k.Kind) {
+			e.kinds = append(e.kinds, k.Kind)
+		}
+	}
+	if len(e.comps) > ordMask || len(e.kinds) > math.MaxUint16+1 {
+		return nil, fmt.Errorf("corpus: model %q: %d components and %d kinds exceed the match index", id, len(e.comps), len(e.kinds))
+	}
+	return e, nil
+}
+
+// sortedComponents returns the distinct component ids of keys, sorted:
+// the intern table whose indexes are component ordinals.
+func sortedComponents(keys []core.ComponentKey) []string {
+	comps := make([]string, len(keys))
+	for i, k := range keys {
+		comps[i] = k.Component
+	}
+	slices.Sort(comps)
+	return slices.Clone(slices.Compact(comps))
 }
 
 // compiled returns the entry's compiled model, materializing it from the
@@ -244,9 +299,27 @@ type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
 	// inv maps a match key to the postings of every model in this shard
-	// that emits it, keyed by model id so Remove can drop a model's
-	// postings without touching other models'.
-	inv map[string]map[string][]invPosting
+	// that emits it. Each model's postings under a key are contiguous and
+	// in its keys order, so retrieval visits them in a fixed order; Remove
+	// filters them out in place, keeping the others' order.
+	inv map[string][]invPosting
+	// nslots bounds the installed entries' slots; free holds the slots
+	// below it that removed entries vacated, reused first.
+	nslots uint32
+	free   []uint32
+}
+
+func newShard() *shard {
+	sh := &shard{}
+	sh.reset()
+	return sh
+}
+
+// reset empties the shard; the caller holds its write lock or owns it.
+func (sh *shard) reset() {
+	sh.entries = make(map[string]*entry)
+	sh.inv = make(map[string][]invPosting)
+	sh.nslots, sh.free = 0, nil
 }
 
 // Corpus is the sharded repository. All methods are safe for concurrent
@@ -265,10 +338,7 @@ func New(opts Options) *Corpus {
 	opts = opts.withDefaults()
 	c := &Corpus{opts: opts, shards: make([]*shard, opts.Shards)}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			entries: make(map[string]*entry),
-			inv:     make(map[string]map[string][]invPosting),
-		}
+		c.shards[i] = newShard()
 	}
 	if opts.QueryCache > 0 {
 		c.queries = newQueryCache(opts.QueryCache)
@@ -306,7 +376,10 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	e := &entry{id: m.ID, cm: cm, keys: cm.MatchKeys(), match: c.opts.Match}
+	e, err := newEntry(m.ID, cm.MatchKeys(), nil, c.opts.Match, cm)
+	if err != nil {
+		return "", err
+	}
 	// Serialize outside the lock: the blob is a pure function of the
 	// compiled (cloned) model, and holding the shard lock across an XML
 	// render would stall that shard's readers for no consistency gain.
@@ -334,17 +407,21 @@ func (c *Corpus) Add(m *sbml.Model) (string, error) {
 	return m.ID, nil
 }
 
-// install publishes an entry and its inverted-index postings; the caller
-// holds the shard write lock.
+// install publishes an entry and its inverted-index postings, giving it a
+// slot; the caller holds the shard write lock.
 func (sh *shard) install(e *entry) {
+	if n := len(sh.free); n > 0 {
+		e.slot = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+	} else {
+		e.slot = sh.nslots
+		sh.nslots++
+	}
 	sh.entries[e.id] = e
 	for _, k := range e.keys {
-		byModel := sh.inv[k.Key]
-		if byModel == nil {
-			byModel = make(map[string][]invPosting)
-			sh.inv[k.Key] = byModel
-		}
-		byModel[e.id] = append(byModel[e.id], invPosting{comp: k.Component, kind: k.Kind, tier: k.Tier})
+		comp, _ := slices.BinarySearch(e.comps, k.Component)
+		kind := slices.Index(e.kinds, k.Kind)
+		sh.inv[k.Key] = append(sh.inv[k.Key], invPosting{e: e, comp: uint32(comp), kind: uint16(kind), tier: uint8(k.Tier)})
 	}
 }
 
@@ -376,7 +453,10 @@ func (c *Corpus) AddPrecompiled(p PrecompiledModel) error {
 	if len(p.SBML) == 0 {
 		return fmt.Errorf("corpus: precompiled model %q has no canonical bytes", p.ID)
 	}
-	e := &entry{id: p.ID, keys: p.Keys, sbml: p.SBML, match: c.opts.Match, cm: p.Compiled}
+	e, err := newEntry(p.ID, p.Keys, p.SBML, c.opts.Match, p.Compiled)
+	if err != nil {
+		return err
+	}
 	sh := c.shardFor(p.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -421,13 +501,17 @@ func (sh *shard) removeLocked(id string) bool {
 	}
 	delete(sh.entries, id)
 	for _, k := range e.keys {
-		if byModel := sh.inv[k.Key]; byModel != nil {
-			delete(byModel, id)
-			if len(byModel) == 0 {
-				delete(sh.inv, k.Key)
-			}
+		ps, ok := sh.inv[k.Key]
+		if !ok {
+			continue // a repeated key, already filtered
+		}
+		if ps = slices.DeleteFunc(ps, func(p invPosting) bool { return p.e == e }); len(ps) == 0 {
+			delete(sh.inv, k.Key)
+		} else {
+			sh.inv[k.Key] = ps
 		}
 	}
+	sh.free = append(sh.free, e.slot)
 	return true
 }
 
@@ -645,40 +729,52 @@ func (c *Corpus) CheckPropertyContext(ctx context.Context, id string, formula st
 	return mc2.Check(tr, f)
 }
 
-// compileQuery returns the query's match keys and matchable-component
-// count, through the compiled-query LRU when one is configured: repeated
-// identical queries (same canonical SBML bytes) skip recompilation. The
-// cached values are read-only and shared safely across concurrent
-// Searches.
-func (c *Corpus) compileQuery(query *sbml.Model) ([]core.ComponentKey, int, error) {
-	if c.queries == nil {
-		qcm, err := core.Compile(query, c.opts.Match)
-		if err != nil {
-			return nil, 0, err
-		}
-		return qcm.MatchKeys(), qcm.MatchableComponents(), nil
-	}
-	key := string(canonicalBytes(query))
-	if cq, ok := c.queries.Get(key); ok {
-		return cq.keys, cq.denom, nil
-	}
-	qcm, err := core.Compile(query, c.opts.Match)
-	if err != nil {
-		return nil, 0, err
-	}
-	cq := &cachedQuery{keys: qcm.MatchKeys(), denom: qcm.MatchableComponents()}
-	c.queries.Put(key, cq)
-	return cq.keys, cq.denom, nil
-}
-
 // CompiledQuery is a query compiled once for repeated searches: the match
-// keys and the matchable-component denominator, everything ranking
-// consumes. It is immutable and safe to share across concurrent
-// SearchCompiled calls, and valid only against the corpus that compiled
-// it (the keys depend on its match options).
+// keys, the matchable-component denominator, and the query's intern
+// table — its distinct component ids, sorted, with each key's ordinal in
+// it. It is everything ranking consumes, immutable and safe to share
+// across concurrent searches, and valid only against the corpus that
+// compiled it (the keys depend on its match options).
 type CompiledQuery struct {
 	keys  []core.ComponentKey
 	denom int
+	comps []string
+	ords  []uint32
+}
+
+// newCompiledQuery derives a query's ranking state from its compiled
+// model.
+func newCompiledQuery(qcm *core.CompiledModel) *CompiledQuery {
+	keys := qcm.MatchKeys()
+	cq := &CompiledQuery{keys: keys, denom: qcm.MatchableComponents(), comps: sortedComponents(keys)}
+	cq.ords = make([]uint32, len(cq.keys))
+	for i, k := range cq.keys {
+		q, _ := slices.BinarySearch(cq.comps, k.Component)
+		cq.ords[i] = uint32(q)
+	}
+	return cq
+}
+
+// compileQuery compiles a query through the compiled-query LRU when one
+// is configured: repeated identical queries (same canonical SBML bytes)
+// share one CompiledQuery and skip recompilation.
+func (c *Corpus) compileQuery(query *sbml.Model) (*CompiledQuery, error) {
+	var key string
+	if c.queries != nil {
+		key = string(canonicalBytes(query))
+		if cq, ok := c.queries.Get(key); ok {
+			return cq, nil
+		}
+	}
+	qcm, err := core.Compile(query, c.opts.Match)
+	if err != nil {
+		return nil, err
+	}
+	cq := newCompiledQuery(qcm)
+	if c.queries != nil {
+		c.queries.Put(key, cq)
+	}
+	return cq, nil
 }
 
 // CompileQuery compiles a query model for SearchCompiled, through the
@@ -690,11 +786,7 @@ func (c *Corpus) CompileQuery(query *sbml.Model) (*CompiledQuery, error) {
 	if query == nil {
 		return nil, fmt.Errorf("corpus: CompileQuery requires a non-nil query")
 	}
-	keys, denom, err := c.compileQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledQuery{keys: keys, denom: denom}, nil
+	return c.compileQuery(query)
 }
 
 // SearchCompiled ranks the corpus against an already compiled query; see
@@ -713,7 +805,7 @@ func (c *Corpus) SearchCompiledContext(ctx context.Context, cq *CompiledQuery, o
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.rank(ctx, cq.keys, cq.denom, opts)
+	return c.rank(ctx, cq, opts)
 }
 
 // Search ranks the corpus models against the query. Candidate retrieval
@@ -742,91 +834,107 @@ func (c *Corpus) SearchContext(ctx context.Context, query *sbml.Model, opts Sear
 		return nil, err
 	}
 	sp := obs.FromContext(ctx).Start("compile")
-	qkeys, denom, err := c.compileQuery(query)
+	cq, err := c.compileQuery(query)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return c.rank(ctx, qkeys, denom, opts)
+	return c.rank(ctx, cq, opts)
 }
 
 // rank is the shared post-compile body of SearchContext and
 // SearchCompiledContext: retrieval, concurrent scoring and the
-// deterministic global merge, all a pure function of the query's keys and
-// denominator.
-func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int, opts SearchOptions) ([]Hit, error) {
+// deterministic global merge, all a pure function of the compiled query.
+// Its working memory comes from pooled scratch; only the returned page
+// and its Evidence are allocated.
+func (c *Corpus) rank(ctx context.Context, cq *CompiledQuery, opts SearchOptions) ([]Hit, error) {
 	if opts.TopK == 0 {
 		opts.TopK = 5
 	}
 	if opts.Offset < 0 {
 		opts.Offset = 0
 	}
+	// keep[t] reports whether tier t's weight passes the cutoff.
+	var keep [core.TierUnit + 1]bool
+	for t := range keep {
+		keep[t] = !(core.KeyTier(t).Weight() < opts.Cutoff)
+	}
+	s := scratchPool.Get().(*searchScratch)
+	defer s.release()
 
-	// Retrieval: accumulate, per candidate model, the score-matrix cells
-	// its postings share with the query. The per-model cell set is the
-	// union over all shards of that model's postings, so shard layout
-	// cannot influence it.
+	// Retrieval: append, per candidate model, one cell per posting it
+	// shares with the query, in visit order — query key order, then the
+	// model's postings in its keys order. A model lives in one shard, so
+	// shard layout cannot influence its cells.
 	retrieveSpan := obs.FromContext(ctx).Start("retrieve")
-	cells := make(map[string]*candidate)
 	for _, sh := range c.shards {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		first := len(s.cands)
 		sh.mu.RLock()
-		for _, qk := range qkeys {
-			if qk.Tier.Weight() < opts.Cutoff {
+		if n := int(sh.nslots); len(s.slotCand) < n {
+			s.slotCand = append(s.slotCand, make([]int32, n-len(s.slotCand))...)
+		}
+		for i, qk := range cq.keys {
+			if !keep[qk.Tier] {
 				continue
 			}
-			byModel, ok := sh.inv[qk.Key]
-			if !ok {
-				continue
-			}
-			for modelID, postings := range byModel {
-				cand := cells[modelID]
-				if cand == nil {
-					cand = &candidate{modelID: modelID}
-					cells[modelID] = cand
+			q := cq.ords[i]
+			for _, p := range sh.inv[qk.Key] {
+				tier := max(qk.Tier, core.KeyTier(p.tier))
+				if !keep[tier] {
+					continue
 				}
-				for _, p := range postings {
-					cand.add(qk, p)
-				}
+				cd := s.candidateFor(p.e)
+				cd.cells = append(cd.cells, cell{key: packCell(tier, q, p.comp), seq: uint32(len(cd.cells)), kind: p.kind})
 			}
 		}
 		sh.mu.RUnlock()
+		for _, cd := range s.cands[first:] {
+			s.slotCand[cd.e.slot] = 0
+		}
 	}
 	retrieveSpan.End()
-	if len(cells) == 0 {
+	if len(s.cands) == 0 {
 		return nil, nil
 	}
 
-	// Scoring: fan the candidates out across the worker pool. Candidates
-	// are ordered by id first so the result slice layout is deterministic;
-	// each score depends only on the candidate's own cells. Workers check
-	// ctx between candidates and bail early when it fires; the partial
-	// hits slice is then discarded.
+	// Scoring: fan the candidates out across the worker pool, each worker
+	// with its own used-sets. Each score depends only on the candidate's
+	// own cells. Workers check ctx between candidates and bail early when
+	// it fires; the partial scores are then discarded.
 	scoreSpan := obs.FromContext(ctx).Start("score")
-	cands := make([]*candidate, 0, len(cells))
-	for _, cand := range cells {
-		cands = append(cands, cand)
+	if cap(s.ranked) < len(s.cands) {
+		s.ranked = make([]rankedHit, len(s.cands))
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].modelID < cands[j].modelID })
-	hits := make([]Hit, len(cands))
-	workers := c.opts.Workers
-	if workers > len(cands) {
-		workers = len(cands)
+	s.ranked = s.ranked[:len(s.cands)]
+	workers := min(c.opts.Workers, len(s.cands))
+	if len(s.workers) < workers {
+		s.workers = make([]assigner, workers)
+	}
+	scoreStripe := func(w int) {
+		a := &s.workers[w]
+		for i := w; i < len(s.cands); i += workers {
+			if ctx.Err() != nil {
+				return
+			}
+			cd := &s.cands[i]
+			score, matched := a.assign(cd, len(cq.comps))
+			h := Hit{ModelID: cd.e.id, Score: score, Matched: matched}
+			if cq.denom > 0 {
+				h.Coverage = float64(matched) / float64(cq.denom)
+			}
+			s.ranked[i] = rankedHit{Hit: h, cand: i}
+		}
 	}
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := w; i < len(cands); i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				hits[i] = cands[i].assign(denom, opts.Cutoff)
-			}
-		}(w)
+			scoreStripe(w)
+		}()
 	}
 	wg.Wait()
 	scoreSpan.End()
@@ -834,32 +942,28 @@ func (c *Corpus) rank(ctx context.Context, qkeys []core.ComponentKey, denom int,
 		return nil, err
 	}
 
-	// Deterministic global merge: drop empty/sub-threshold hits, rank by
-	// score then id, then cut the pagination window out of the full
-	// ranking — Offset models skipped here, inside the merge, so a page is
-	// exactly the corresponding slice of the unpaginated ranking.
+	// Deterministic global merge: drop sub-threshold hits, then rank by
+	// CompareHits and cut the pagination window out of the full ranking —
+	// Offset hits skipped here, inside the merge, so a page is exactly the
+	// corresponding slice of the unpaginated ranking. A bounded page only
+	// needs its Offset+TopK best hits selected, not every hit sorted;
+	// Evidence is built for the page alone.
 	defer obs.FromContext(ctx).Start("merge").End()
-	ranked := hits[:0]
-	for _, h := range hits {
-		if h.Matched == 0 || h.Score < opts.MinScore {
-			continue
-		}
-		ranked = append(ranked, h)
+	ranked := slices.DeleteFunc(s.ranked, func(r rankedHit) bool { return r.Score < opts.MinScore })
+	if opts.Offset >= len(ranked) {
+		return nil, nil
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
-		}
-		return ranked[i].ModelID < ranked[j].ModelID
-	})
-	if opts.Offset > 0 {
-		if opts.Offset >= len(ranked) {
-			return nil, nil
-		}
-		ranked = ranked[opts.Offset:]
+	end := len(ranked)
+	if opts.TopK >= 0 && opts.TopK < len(ranked)-opts.Offset {
+		end = opts.Offset + opts.TopK
+		selectBest(ranked, end)
+	} else {
+		slices.SortFunc(ranked, compareRanked)
 	}
-	if opts.TopK >= 0 && len(ranked) > opts.TopK {
-		ranked = ranked[:opts.TopK]
+	page := make([]Hit, 0, end-opts.Offset)
+	for _, r := range ranked[opts.Offset:end] {
+		r.Evidence = evidence(cq, &s.cands[r.cand])
+		page = append(page, r.Hit)
 	}
-	return append([]Hit(nil), ranked...), nil
+	return page, nil
 }

@@ -101,6 +101,51 @@ func TestAddRemoveLifecycle(t *testing.T) {
 	}
 }
 
+// TestRemoveClearsIndex checks the interned index's bookkeeping: removing
+// every model leaves no posting and frees every slot, and re-adding them
+// reuses those slots instead of growing the slot range.
+func TestRemoveClearsIndex(t *testing.T) {
+	models := testModels(12)
+	c := New(testOptions(3, 2))
+	fill(t, c, models)
+	slots := make([]uint32, len(c.shards))
+	for i, sh := range c.shards {
+		slots[i] = sh.nslots
+	}
+	for _, m := range models {
+		if ok, err := c.Remove(m.ID); err != nil || !ok {
+			t.Fatalf("Remove(%s) = %v, %v", m.ID, ok, err)
+		}
+	}
+	for i, sh := range c.shards {
+		if len(sh.inv) != 0 || len(sh.entries) != 0 {
+			t.Fatalf("shard %d keeps %d posting lists and %d entries after removing everything", i, len(sh.inv), len(sh.entries))
+		}
+		if len(sh.free) != int(sh.nslots) {
+			t.Fatalf("shard %d: %d of %d slots free", i, len(sh.free), sh.nslots)
+		}
+	}
+	fill(t, c, models)
+	for i, sh := range c.shards {
+		if sh.nslots != slots[i] || len(sh.free) != 0 {
+			t.Fatalf("shard %d: re-adding grew slots %d -> %d (%d free)", i, slots[i], sh.nslots, len(sh.free))
+		}
+	}
+}
+
+// TestAddPrecompiledRejectsBadTier checks that keys a packed cell cannot
+// hold are refused at install rather than mis-ranked later.
+func TestAddPrecompiledRejectsBadTier(t *testing.T) {
+	c := New(testOptions(1, 1))
+	keys := []core.ComponentKey{{Component: "a", Kind: "species", Key: "s|id:a", Tier: core.TierUnit + 1}}
+	if err := c.AddPrecompiled(PrecompiledModel{ID: "m", SBML: []byte("<sbml/>"), Keys: keys}); err == nil {
+		t.Fatal("AddPrecompiled accepted a key tier out of range")
+	}
+	if c.Has("m") {
+		t.Fatal("rejected model was installed")
+	}
+}
+
 func sortedStrings(xs []string) bool {
 	for i := 1; i < len(xs); i++ {
 		if xs[i-1] >= xs[i] {

@@ -73,7 +73,7 @@ func TestQueryCacheRankingsIdentical(t *testing.T) {
 // capacity and evicts the least recently used query.
 func TestQueryCacheEvictsLRU(t *testing.T) {
 	qc := newQueryCache(2)
-	a, b, c := &cachedQuery{denom: 1}, &cachedQuery{denom: 2}, &cachedQuery{denom: 3}
+	a, b, c := &CompiledQuery{denom: 1}, &CompiledQuery{denom: 2}, &CompiledQuery{denom: 3}
 	qc.Put("a", a)
 	qc.Put("b", b)
 	if _, ok := qc.Get("a"); !ok { // touch a: b becomes LRU
@@ -93,7 +93,7 @@ func TestQueryCacheEvictsLRU(t *testing.T) {
 		t.Fatal("c missing after insert")
 	}
 	// Duplicate put keeps one entry and the newer value.
-	c2 := &cachedQuery{denom: 4}
+	c2 := &CompiledQuery{denom: 4}
 	qc.Put("c", c2)
 	if qc.Len() != 2 {
 		t.Fatalf("duplicate put grew the cache: %d", qc.Len())
